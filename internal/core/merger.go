@@ -696,29 +696,51 @@ func (m *Merger) ReadSegment(mf *MergeFile, key octree.Key, ds object.DatasetID)
 // ReadSegmentCtx is ReadSegment with cancellation (nil ctx disables it); the
 // underlying run read aborts at the page boundary where the context expired.
 func (m *Merger) ReadSegmentCtx(ctx context.Context, mf *MergeFile, key octree.Key, ds object.DatasetID) ([]object.Object, error) {
+	file, run, err := m.segmentRun(mf, key, ds)
+	if err != nil {
+		return nil, err
+	}
+	return file.ReadRunCtx(ctx, run)
+}
+
+// ReadSegmentIntersectingCtx appends to dst only the objects of one
+// dataset's merged partition that intersect q, decoding in full only the
+// hits. It reads and checks exactly the pages ReadSegmentCtx does.
+func (m *Merger) ReadSegmentIntersectingCtx(ctx context.Context, dst []object.Object, mf *MergeFile,
+	key octree.Key, ds object.DatasetID, q geom.Box) ([]object.Object, error) {
+	file, run, err := m.segmentRun(mf, key, ds)
+	if err != nil {
+		return dst, err
+	}
+	return file.ReadRunsIntersectingCtx(ctx, dst, []pagefile.Run{run}, q)
+}
+
+// segmentRun resolves the file and run holding one dataset's objects for
+// one merged partition, following a shared-segment reference when present,
+// and records the read in the LRU order and the segment counter.
+func (m *Merger) segmentRun(mf *MergeFile, key octree.Key, ds object.DatasetID) (*pagefile.File, pagefile.Run, error) {
 	segs, ok := mf.entries[key]
 	if !ok {
-		return nil, fmt.Errorf("merge file %s has no entry %v", mf.combo, key)
+		return nil, pagefile.Run{}, fmt.Errorf("merge file %s has no entry %v", mf.combo, key)
 	}
 	seg, ok := segs[ds]
 	if !ok {
-		return nil, fmt.Errorf("merge file %s entry %v has no dataset %d", mf.combo, key, ds)
+		return nil, pagefile.Run{}, fmt.Errorf("merge file %s entry %v has no dataset %d", mf.combo, key, ds)
 	}
 	m.touch(mf)
 	m.accMu.Lock()
 	m.segmentsRead++
 	m.accMu.Unlock()
-	file := mf.file
-	if seg.sharedFrom != "" {
-		owner, live := m.files[seg.sharedFrom]
-		if !live {
-			return nil, fmt.Errorf("merge file %s entry %v: shared owner %s evicted",
-				mf.combo, key, seg.sharedFrom)
-		}
-		m.touch(owner)
-		file = owner.file
+	if seg.sharedFrom == "" {
+		return mf.file, seg.run, nil
 	}
-	return file.ReadRunCtx(ctx, seg.run)
+	owner, live := m.files[seg.sharedFrom]
+	if !live {
+		return nil, pagefile.Run{}, fmt.Errorf("merge file %s entry %v: shared owner %s evicted",
+			mf.combo, key, seg.sharedFrom)
+	}
+	m.touch(owner)
+	return owner.file, seg.run, nil
 }
 
 // EnforceBudget evicts least-recently-used merge files until the space

@@ -743,11 +743,18 @@ func (o *Odyssey) QueryCtx(ctx context.Context, q geom.Box, datasets []object.Da
 		clock := simdisk.PhaseClock(ctx, o.dev)
 		t0 := clock()
 		for _, r := range reads {
-			var objs []object.Object
-			hit := false
-			if o.rcache != nil {
-				objs, hit = o.rcache.Lookup(r.ds, r.entry, qEpoch)
+			if o.rcache == nil {
+				// Nothing keeps the segment: decode only its hits,
+				// straight into the result.
+				var err error
+				out, err = o.merger.ReadSegmentIntersectingCtx(ctx, out, mf, r.entry, r.ds, q)
+				if err != nil {
+					o.mu.RUnlock()
+					return nil, err
+				}
+				continue
 			}
+			objs, hit := o.rcache.Lookup(r.ds, r.entry, qEpoch)
 			if !hit {
 				var err error
 				objs, err = o.merger.ReadSegmentCtx(ctx, mf, r.entry, r.ds)
@@ -755,10 +762,8 @@ func (o *Odyssey) QueryCtx(ctx context.Context, q geom.Box, datasets []object.Da
 					o.mu.RUnlock()
 					return nil, err
 				}
-				if o.rcache != nil {
-					missCacheScope(ctx)
-					o.rcache.Insert(r.ds, r.entry, qEpoch, EntryBox(o.bounds, r.entry, fanout), objs)
-				}
+				missCacheScope(ctx)
+				o.rcache.Insert(r.ds, r.entry, qEpoch, EntryBox(o.bounds, r.entry, fanout), objs)
 			}
 			for _, obj := range objs {
 				if obj.Intersects(q) {

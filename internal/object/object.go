@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"math"
+	"slices"
 
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/simdisk"
@@ -36,9 +37,14 @@ func (o Object) Box() geom.Box {
 	return geom.BoxFromCenter(o.Center, o.HalfExtent)
 }
 
-// Intersects reports whether the object's box intersects q.
+// Intersects reports whether the object's box intersects q. It compares
+// Center±HalfExtent against q with the same floating-point operations as
+// o.Box().Intersects(q), without building (and validating) the box.
 func (o Object) Intersects(q geom.Box) bool {
-	return o.Box().Intersects(q)
+	c, h := o.Center, o.HalfExtent
+	return c.X-h.X <= q.Max.X && q.Min.X <= c.X+h.X &&
+		c.Y-h.Y <= q.Max.Y && q.Min.Y <= c.Y+h.Y &&
+		c.Z-h.Z <= q.Max.Z && q.Min.Z <= c.Z+h.Z
 }
 
 // RecordSize is the fixed on-disk size of one object record:
@@ -129,39 +135,71 @@ func EncodePage(objs []Object) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodePage decodes the objects stored in one page, verifying the header
-// magic and payload checksum.
-func DecodePage(buf []byte) ([]Object, error) {
+// checkPage verifies one page's length, header magic, record count and
+// payload checksum, and returns the record count.
+func checkPage(buf []byte) (int, error) {
 	if len(buf) < simdisk.PageSize {
-		return nil, ErrShortBuffer
+		return 0, ErrShortBuffer
 	}
 	if binary.LittleEndian.Uint16(buf[0:]) != pageMagic {
-		return nil, ErrBadMagic
+		return 0, ErrBadMagic
 	}
 	count := int(binary.LittleEndian.Uint16(buf[2:]))
 	if count > PageCapacity {
-		return nil, fmt.Errorf("%w: %d", ErrBadCount, count)
+		return 0, fmt.Errorf("%w: %d", ErrBadCount, count)
 	}
 	wantCRC := binary.LittleEndian.Uint32(buf[4:])
 	if crc32.ChecksumIEEE(buf[pageHeaderSize:simdisk.PageSize]) != wantCRC {
-		return nil, ErrBadChecksum
+		return 0, ErrBadChecksum
 	}
-	objs := make([]Object, count)
-	for i := 0; i < count; i++ {
-		objs[i] = DecodeRecord(buf[pageHeaderSize+i*RecordSize:])
-	}
-	return objs, nil
+	return count, nil
+}
+
+// DecodePage decodes the objects stored in one page, verifying the header
+// magic and payload checksum.
+func DecodePage(buf []byte) ([]Object, error) {
+	return AppendPageInto(nil, buf)
 }
 
 // AppendPageInto decodes one page and appends the records to dst, returning
-// the extended slice. It avoids re-allocating when callers accumulate many
-// pages.
+// the extended slice. The page is verified before any record is appended,
+// and dst grows at most once.
 func AppendPageInto(dst []Object, buf []byte) ([]Object, error) {
-	objs, err := DecodePage(buf)
+	count, err := checkPage(buf)
 	if err != nil {
 		return dst, err
 	}
-	return append(dst, objs...), nil
+	dst = slices.Grow(dst, count)
+	for i := 0; i < count; i++ {
+		dst = append(dst, DecodeRecord(buf[pageHeaderSize+i*RecordSize:]))
+	}
+	return dst, nil
+}
+
+// AppendPageIntersecting appends to dst the records of one page whose box
+// intersects q, in page order: the same objects DecodePage followed by
+// Intersects would keep. Each record's center and half-extent are decoded
+// and tested first; the rest of the record is decoded only for hits. The
+// page is verified before any record is appended, and on error dst is
+// returned unchanged.
+func AppendPageIntersecting(dst []Object, buf []byte, q geom.Box) ([]Object, error) {
+	count, err := checkPage(buf)
+	if err != nil {
+		return dst, err
+	}
+	for i := 0; i < count; i++ {
+		rec := buf[pageHeaderSize+i*RecordSize:]
+		var o Object
+		o.Center, _ = getVec(rec, 16)
+		o.HalfExtent, _ = getVec(rec, 40)
+		if !o.Intersects(q) {
+			continue
+		}
+		o.ID = binary.LittleEndian.Uint64(rec[0:])
+		o.Dataset = DatasetID(binary.LittleEndian.Uint32(rec[8:]))
+		dst = append(dst, o)
+	}
+	return dst, nil
 }
 
 // PagesFor returns the number of pages needed to store n records.

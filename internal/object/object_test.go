@@ -133,6 +133,62 @@ func TestObjectBoxAndIntersects(t *testing.T) {
 	}
 }
 
+// TestAppendPageIntersectingBorders pins the closed-box semantics of the
+// filtered decoder on the cases a fuzzer rarely hits exactly: boxes that
+// only touch at a face, an edge or a corner, and zero extents on either
+// side.
+func TestAppendPageIntersectingBorders(t *testing.T) {
+	box := func(minX, minY, minZ, maxX, maxY, maxZ float64) geom.Box {
+		return geom.NewBox(geom.V(minX, minY, minZ), geom.V(maxX, maxY, maxZ))
+	}
+	cube := Object{ID: 1, Dataset: 3, Center: geom.V(0.5, 0.5, 0.5), HalfExtent: geom.V(0.1, 0.1, 0.1)} // [0.4, 0.6]^3
+	point := Object{ID: 2, Dataset: 3, Center: geom.V(0.5, 0.5, 0.5)}
+	flat := Object{ID: 3, Dataset: 3, Center: geom.V(0.5, 0.5, 0.5), HalfExtent: geom.V(0.1, 0, 0.1)}
+	cases := []struct {
+		name string
+		o    Object
+		q    geom.Box
+		want bool
+	}{
+		{"face", cube, box(0.6, 0.4, 0.4, 0.7, 0.6, 0.6), true},
+		{"face below", cube, box(0.3, 0.4, 0.4, 0.4, 0.6, 0.6), true},
+		{"edge", cube, box(0.6, 0.6, 0, 0.7, 0.7, 1), true},
+		{"corner", cube, box(0.6, 0.6, 0.6, 0.7, 0.7, 0.7), true},
+		{"just past the face", cube, box(math.Nextafter(0.6, 1), 0.4, 0.4, 0.7, 0.6, 0.6), false},
+		{"just past the corner", cube, box(0.6, 0.6, math.Nextafter(0.6, 1), 0.7, 0.7, 0.7), false},
+		{"point object on a face", point, box(0.5, 0, 0, 1, 1, 1), true},
+		{"point object outside", point, box(math.Nextafter(0.5, 1), 0, 0, 1, 1, 1), false},
+		{"point query inside", cube, box(0.45, 0.45, 0.45, 0.45, 0.45, 0.45), true},
+		{"point query at the corner", cube, box(0.4, 0.4, 0.4, 0.4, 0.4, 0.4), true},
+		{"point query on a point object", point, box(0.5, 0.5, 0.5, 0.5, 0.5, 0.5), true},
+		{"flat object touched by its plane", flat, box(0, 0.5, 0, 1, 0.5, 1), true},
+		{"flat object beside its plane", flat, box(0, math.Nextafter(0.5, 1), 0, 1, 1, 1), false},
+	}
+	for _, c := range cases {
+		if got := c.o.Box().Intersects(c.q); got != c.want {
+			t.Fatalf("%s: Box().Intersects = %v, want %v", c.name, got, c.want)
+		}
+		if got := c.o.Intersects(c.q); got != c.want {
+			t.Errorf("%s: Intersects = %v, want %v", c.name, got, c.want)
+		}
+		far := Object{ID: 9, Center: geom.V(50, 50, 50), HalfExtent: geom.V(1, 1, 1)}
+		page, err := EncodePage([]Object{far, c.o, far})
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := AppendPageIntersecting(nil, page, c.q)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		switch {
+		case c.want && (len(got) != 1 || got[0] != c.o):
+			t.Errorf("%s: filtered decode = %+v, want [%+v]", c.name, got, c.o)
+		case !c.want && len(got) != 0:
+			t.Errorf("%s: filtered decode = %+v, want none", c.name, got)
+		}
+	}
+}
+
 func TestValidate(t *testing.T) {
 	good := Object{Center: geom.V(0, 0, 0), HalfExtent: geom.V(1, 1, 1)}
 	if err := good.Validate(); err != nil {

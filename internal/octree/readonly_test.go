@@ -4,8 +4,11 @@ import (
 	"sort"
 	"testing"
 
+	"spaceodyssey/internal/datagen"
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
+	"spaceodyssey/internal/rawfile"
+	"spaceodyssey/internal/simdisk"
 )
 
 // sortObjs orders objects by id for comparison.
@@ -125,4 +128,56 @@ func TestRefineRegionConverges(t *testing.T) {
 			t.Fatalf("leaf %d differs: %v vs %v", i, bgLeaves[i].Key(), fgLeaves[i].Key())
 		}
 	}
+}
+
+// TestFilteredLeafReadAllocs pins the allocation cost of a non-shared leaf
+// read on a built, refined tree whose device cache is full: one allocation
+// per run, the device's run buffer, and nothing per page or per object. The
+// result slice is sized beforehand, as a query's result is after its first
+// reads.
+func TestFilteredLeafReadAllocs(t *testing.T) {
+	dev := simdisk.NewDevice(simdisk.CostModel{}, 4)
+	objs := datagen.Generate(datagen.Config{Seed: 52, NumObjects: 20000, Clusters: 5}, 1)
+	raw, err := rawfile.Write(dev, "ds1", 1, objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tree, err := New(dev, raw, geom.UnitBox(), DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		if _, err := tree.Query(geom.Cube(objs[i*97].Center, 0.02), nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	checked := 0
+	for _, leaf := range tree.Lookup(geom.UnitBox()) {
+		if leaf.Count() < 2*object.PageCapacity {
+			continue // want multi-page leaves
+		}
+		all, err := tree.ReadPartition(leaf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := geom.Box{Min: all[0].Center, Max: all[0].Center}
+		res := QueryResult{Objects: make([]object.Object, 0, leaf.Count())}
+		allocs := testing.AllocsPerRun(50, func() {
+			res.Objects = res.Objects[:0]
+			if err := tree.readLeafInto(nil, &res, leaf, q); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if len(res.Objects) == 0 || len(res.Objects) == leaf.Count() {
+			t.Fatalf("query box kept %d of %d objects; the read is not filtering", len(res.Objects), leaf.Count())
+		}
+		if runs := len(leaf.Runs()); allocs != float64(runs) {
+			t.Errorf("leaf %v (%d pages, %d runs): %v allocations per filtered read, want %d",
+				leaf.Key(), leaf.Pages(), runs, allocs, runs)
+		}
+		if checked++; checked == 5 {
+			return
+		}
+	}
+	t.Fatalf("only %d multi-page leaves to check", checked)
 }

@@ -198,22 +198,20 @@ func (t *Tree) QueryCtx(ctx context.Context, q geom.Box, serveFromStore func(*Pa
 			filterInto(&res, objs, q)
 		} else {
 			t1 := clock()
-			objs, token, err := t.readLeaf(ctx, leaf)
+			err := t.readLeafInto(ctx, &res, leaf, q)
 			res.ReadTime += clock() - t1
 			if err != nil {
 				return res, err
 			}
 			res.Touched = append(res.Touched, leaf)
-			filterInto(&res, objs, q)
-			releaseLeaf(token)
 		}
 	}
 	return res, nil
 }
 
 // filterInto appends the objects intersecting q to res.Objects. Objects are
-// values, so the source slice (possibly pooled or shared with concurrent
-// queries) is never retained.
+// values, so the source slice (possibly shared with concurrent queries) is
+// never retained.
 func filterInto(res *QueryResult, objs []object.Object, q geom.Box) {
 	for _, o := range objs {
 		if o.Intersects(q) {
@@ -222,34 +220,25 @@ func filterInto(res *QueryResult, objs []object.Object, q geom.Box) {
 	}
 }
 
-// readLeaf reads one leaf partition on the query path. With a ShareReader
-// installed (scan sharing) the read routes through it — the result may be a
-// slice shared with concurrent queries, so there is nothing to recycle and
-// the returned pool token is nil. Otherwise the read decodes into a pooled
-// slice and the token returns it via releaseLeaf; the caller must be done
-// with the objects (filtered into its own result) before releasing.
-func (t *Tree) readLeaf(ctx context.Context, p *Partition) ([]object.Object, *[]object.Object, error) {
+// readLeafInto appends the objects of leaf p that intersect q to
+// res.Objects. With a ShareReader installed (scan sharing) the read routes
+// through it and yields the full partition, possibly shared with concurrent
+// queries, which is then filtered. Otherwise the pages decode straight into
+// res.Objects, and only the hits are built.
+func (t *Tree) readLeafInto(ctx context.Context, res *QueryResult, p *Partition, q geom.Box) error {
 	if t.ShareReader != nil {
 		objs, err := t.ShareReader(ctx, p, func(ctx context.Context) ([]object.Object, error) {
 			return t.file.ReadRunsCtx(ctx, p.runs)
 		})
-		return objs, nil, err
+		if err != nil {
+			return err
+		}
+		filterInto(res, objs, q)
+		return nil
 	}
-	sp := pagefile.GetObjSlice()
-	objs, err := t.file.ReadRunsIntoCtx(ctx, *sp, p.runs)
-	*sp = objs
-	if err != nil {
-		pagefile.PutObjSlice(sp)
-		return nil, nil, err
-	}
-	return objs, sp, nil
-}
-
-// releaseLeaf returns a readLeaf pool token (nil-safe).
-func releaseLeaf(sp *[]object.Object) {
-	if sp != nil {
-		pagefile.PutObjSlice(sp)
-	}
+	var err error
+	res.Objects, err = t.file.ReadRunsIntersectingCtx(ctx, res.Objects, p.runs, q)
+	return err
 }
 
 // QueryReadOnlyCtx answers q strictly from the current layout: the tree must
@@ -280,14 +269,12 @@ func (t *Tree) QueryReadOnlyCtx(ctx context.Context, q geom.Box, serveFromStore 
 			res.WantRefine = append(res.WantRefine, leaf.key)
 		}
 		t1 := clock()
-		objs, token, err := t.readLeaf(ctx, leaf)
+		err := t.readLeafInto(ctx, &res, leaf, q)
 		res.ReadTime += clock() - t1
 		if err != nil {
 			return res, err
 		}
 		res.Touched = append(res.Touched, leaf)
-		filterInto(&res, objs, q)
-		releaseLeaf(token)
 	}
 	return res, nil
 }

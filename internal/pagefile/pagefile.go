@@ -12,8 +12,9 @@ package pagefile
 import (
 	"context"
 	"fmt"
-	"sync"
+	"slices"
 
+	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
 	"spaceodyssey/internal/simdisk"
 )
@@ -150,8 +151,16 @@ func (f *File) ReadRunInto(dst []object.Object, run Run) ([]object.Object, error
 }
 
 // ReadRunIntoCtx appends the objects of run to dst, aborting on ctx (nil
-// disables cancellation).
+// disables cancellation). dst grows once, by the run's page capacity.
 func (f *File) ReadRunIntoCtx(ctx context.Context, dst []object.Object, run Run) ([]object.Object, error) {
+	dst = slices.Grow(dst, int(run.Count)*object.PageCapacity)
+	return f.readRun(ctx, dst, run, object.AppendPageInto)
+}
+
+// readRun reads run from the device and hands each page to decode, which
+// appends that page's objects to dst.
+func (f *File) readRun(ctx context.Context, dst []object.Object, run Run,
+	decode func([]object.Object, []byte) ([]object.Object, error)) ([]object.Object, error) {
 	if run.Count == 0 {
 		return dst, nil
 	}
@@ -160,7 +169,7 @@ func (f *File) ReadRunIntoCtx(ctx context.Context, dst []object.Object, run Run)
 		return dst, err
 	}
 	for i := int64(0); i < run.Count; i++ {
-		dst, err = object.AppendPageInto(dst, buf[i*simdisk.PageSize:(i+1)*simdisk.PageSize])
+		dst, err = decode(dst, buf[i*simdisk.PageSize:(i+1)*simdisk.PageSize])
 		if err != nil {
 			return dst, fmt.Errorf("page %d of run %+v: %w", run.Start+i, run, err)
 		}
@@ -179,10 +188,8 @@ func (f *File) ReadRunsCtx(ctx context.Context, runs []Run) ([]object.Object, er
 	return f.ReadRunsIntoCtx(ctx, nil, runs)
 }
 
-// ReadRunsIntoCtx appends the objects of every run, in order, to dst — the
-// allocation-free variant hot read paths combine with GetObjSlice /
-// PutObjSlice so steady-state queries stop allocating a fresh object slice
-// per partition read. Returns dst (possibly regrown) even on error.
+// ReadRunsIntoCtx appends the objects of every run, in order, to dst.
+// Returns dst (possibly regrown) even on error.
 func (f *File) ReadRunsIntoCtx(ctx context.Context, dst []object.Object, runs []Run) ([]object.Object, error) {
 	var err error
 	for _, r := range runs {
@@ -194,26 +201,22 @@ func (f *File) ReadRunsIntoCtx(ctx context.Context, dst []object.Object, runs []
 	return dst, nil
 }
 
-// objSlicePool recycles the transient object slices of the query read path:
-// a partition read decodes into a pooled slice, the query filters what it
-// needs (objects are values — filtering copies), and the slice goes back.
-var objSlicePool = sync.Pool{
-	New: func() any {
-		s := make([]object.Object, 0, 4*object.PageCapacity)
-		return &s
-	},
-}
-
-// GetObjSlice returns an empty object slice from the pool.
-func GetObjSlice() *[]object.Object {
-	return objSlicePool.Get().(*[]object.Object)
-}
-
-// PutObjSlice returns a slice obtained from GetObjSlice to the pool. The
-// caller must not retain s (or any alias of its backing array) afterwards.
-func PutObjSlice(s *[]object.Object) {
-	*s = (*s)[:0]
-	objSlicePool.Put(s)
+// ReadRunsIntersectingCtx appends to dst, in order, only the objects of the
+// runs that intersect q: the query read path, which decodes a record in full
+// only when it is a hit. The device reads and every page check are exactly
+// those of ReadRunsIntoCtx. Returns dst (possibly extended) even on error.
+func (f *File) ReadRunsIntersectingCtx(ctx context.Context, dst []object.Object, runs []Run, q geom.Box) ([]object.Object, error) {
+	filter := func(dst []object.Object, page []byte) ([]object.Object, error) {
+		return object.AppendPageIntersecting(dst, page, q)
+	}
+	var err error
+	for _, r := range runs {
+		dst, err = f.readRun(ctx, dst, r, filter)
+		if err != nil {
+			return dst, err
+		}
+	}
+	return dst, nil
 }
 
 // WriteInto distributes objs across the free capacity described by reuse

@@ -118,6 +118,7 @@ func (r *Raw) ScanCtx(ctx context.Context, fn func(object.Object) error) error {
 	dev := r.file.Device()
 	id := r.file.ID()
 	end := r.run.Start + r.run.Count
+	var objs []object.Object // one page's records, reused page to page
 	for p := r.run.Start; p < end; {
 		n := scanChunkPages - (p-r.run.Start)%scanChunkPages
 		if p+n > end {
@@ -128,7 +129,7 @@ func (r *Raw) ScanCtx(ctx context.Context, fn func(object.Object) error) error {
 			return err
 		}
 		for i := int64(0); i < n; i++ {
-			objs, err := object.DecodePage(buf[i*simdisk.PageSize : (i+1)*simdisk.PageSize])
+			objs, err = object.AppendPageInto(objs[:0], buf[i*simdisk.PageSize:(i+1)*simdisk.PageSize])
 			if err != nil {
 				return fmt.Errorf("rawfile %q page %d: %w", r.name, p+i, err)
 			}

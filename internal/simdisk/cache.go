@@ -38,7 +38,8 @@ func (c *lruCache) Contains(key pageKey) bool {
 }
 
 // Insert adds key as the most recently used entry, evicting the least
-// recently used entry if the cache is full.
+// recently used entry if the cache is full. At capacity the evicted node is
+// reused for key, so a full cache inserts without allocating.
 func (c *lruCache) Insert(key pageKey) {
 	if c.capacity <= 0 {
 		return
@@ -47,7 +48,15 @@ func (c *lruCache) Insert(key pageKey) {
 		c.moveToFront(n)
 		return
 	}
-	n := &lruNode{key: key}
+	var n *lruNode
+	if len(c.entries) >= c.capacity && c.tail != nil {
+		n = c.tail
+		c.unlink(n)
+		delete(c.entries, n.key)
+		n.key = key
+	} else {
+		n = &lruNode{key: key}
+	}
 	c.entries[key] = n
 	c.pushFront(n)
 	for len(c.entries) > c.capacity {

@@ -54,6 +54,28 @@ func TestLRUReinsertMovesToFront(t *testing.T) {
 	}
 }
 
+// TestLRUInsertAtCapacityAllocatesNothing checks that a full cache reuses
+// the evicted node for the inserted key.
+func TestLRUInsertAtCapacityAllocatesNothing(t *testing.T) {
+	const capacity = 64
+	c := newLRUCache(capacity)
+	for i := 0; i < capacity; i++ {
+		c.Insert(k(1, i))
+	}
+	next := capacity
+	allocs := testing.AllocsPerRun(1000, func() {
+		c.Insert(k(1, next))
+		next++
+	})
+	if allocs != 0 {
+		t.Fatalf("Insert at capacity: %v allocations, want 0", allocs)
+	}
+	if c.Len() != capacity || !c.Contains(k(1, next-1)) || c.Contains(k(1, next-capacity-1)) {
+		t.Fatalf("after the inserts: len %d, newest present %v, oldest evicted %v",
+			c.Len(), c.Contains(k(1, next-1)), !c.Contains(k(1, next-capacity-1)))
+	}
+}
+
 func TestLRURemoveAndRemoveFile(t *testing.T) {
 	c := newLRUCache(10)
 	c.Insert(k(1, 0))

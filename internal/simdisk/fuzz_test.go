@@ -78,23 +78,32 @@ func FuzzLRU(f *testing.F) {
 	})
 }
 
-// FuzzLRUSequential checks exact single-threaded semantics the sharded
-// wrapper must preserve: a just-touched key is cached (capacity permitting)
-// and hits are counted.
+// FuzzLRUSequential checks exact single-threaded semantics: the sharded
+// cache's hit/miss sequence equals that of a reference LRU built on slices,
+// one per shard, and hits are counted. The simulated clock charges a hit
+// and a miss differently, so how the cache reuses its nodes must never
+// change which reads hit.
 func FuzzLRUSequential(f *testing.F) {
 	f.Add(uint16(2), []byte{1, 2, 3, 1, 2, 3})
 	f.Add(uint16(600), []byte{10, 20, 10, 20, 30})
+	f.Add(uint16(3), []byte{0, 2, 4, 6, 0, 8, 2, 3, 10, 0, 7, 4, 2})
 	f.Fuzz(func(t *testing.T, capacity uint16, tape []byte) {
 		cache := newShardedCache(int(capacity))
+		ref := newRefLRU(int(capacity))
 		var wantHits int64
-		for _, op := range tape {
+		for i, op := range tape {
 			key := pageKey{FileID(op % 3), int64(op / 2)}
-			if cache.Touch(key) {
-				wantHits++
-			} else if capacity > 0 {
-				if !cache.Touch(key) {
-					t.Fatalf("key %v absent right after miss-insert", key)
-				}
+			shard := int(cache.hash(key) & uint64(len(ref.order)-1))
+			if op%4 == 3 {
+				cache.Insert(key)
+				ref.touch(shard, key)
+				continue
+			}
+			hit := cache.Touch(key)
+			if want := ref.touch(shard, key); hit != want {
+				t.Fatalf("op %d: Touch(%v) hit=%v, reference LRU says %v", i, key, hit, want)
+			}
+			if hit {
 				wantHits++
 			}
 			if cache.Len() > int(capacity) {
@@ -105,4 +114,45 @@ func FuzzLRUSequential(f *testing.F) {
 			t.Fatalf("per-shard hit counters sum to %d, want %d", got, wantHits)
 		}
 	})
+}
+
+// refLRU is the reference page cache: per shard, the cached keys ordered
+// from least to most recently used, split over shards as the sharded cache
+// splits its capacity.
+type refLRU struct {
+	order [][]pageKey
+	cap   []int
+}
+
+func newRefLRU(capacity int) *refLRU {
+	n := shardCount(capacity)
+	r := &refLRU{order: make([][]pageKey, n), cap: make([]int, n)}
+	for i := range r.cap {
+		r.cap[i] = capacity / n
+		if i < capacity%n {
+			r.cap[i]++
+		}
+	}
+	return r
+}
+
+// touch reports whether key is cached in shard and makes it the most
+// recently used key there, inserting it (and dropping the least recently
+// used key when full) on a miss.
+func (r *refLRU) touch(shard int, key pageKey) bool {
+	keys := r.order[shard]
+	for i, k := range keys {
+		if k == key {
+			r.order[shard] = append(append(keys[:i:i], keys[i+1:]...), key)
+			return true
+		}
+	}
+	if r.cap[shard] == 0 {
+		return false
+	}
+	if len(keys) == r.cap[shard] {
+		keys = keys[1:]
+	}
+	r.order[shard] = append(keys, key)
+	return false
 }
