@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 	"time"
 
@@ -310,6 +311,40 @@ func TestFailoverSurvivesCrash(t *testing.T) {
 	}
 	if st.Queries != st.Served+st.Partial+st.Failed {
 		t.Fatalf("query ledger does not balance: %+v", st)
+	}
+}
+
+// TestFailoverBudgetStopsRetries pins the failover loop's backoff budget:
+// with every replica down, retry k sleeps Backoff·2^(k-1), and the loop
+// stops once the cumulative sleep would pass Budget — here after retries 1
+// and 2 (2 ms + 4 ms), because retry 3 would bring it to 14 ms > 13 ms —
+// wrapping ErrNoReplica around the last shard error.
+func TestFailoverBudgetStopsRetries(t *testing.T) {
+	r := newCluster(t, Config{
+		Shards:   2,
+		Replicas: 2,
+		Failover: odyssey.RetryPolicy{MaxAttempts: 6, Backoff: 2 * time.Millisecond, Budget: 13 * time.Millisecond},
+	}, testData(1))
+	defer r.Close()
+	r.Crash(0)
+	r.Crash(1)
+
+	t0 := time.Now()
+	_, err := r.Query(odyssey.Cube(odyssey.V(0.3, 0.3, 0.3), 0.3), []odyssey.DatasetID{0})
+	if !errors.Is(err, ErrNoReplica) || !errors.Is(err, ErrShardDown) {
+		t.Fatalf("query with every replica down = %v, want ErrNoReplica wrapping ErrShardDown", err)
+	}
+	if !strings.Contains(err.Error(), "budget") {
+		t.Fatalf("exhaustion error does not name the budget: %v", err)
+	}
+	if el := time.Since(t0); el < 6*time.Millisecond {
+		t.Fatalf("failover returned after %v, before its 6 ms of backoff", el)
+	}
+	// Attempts 0..2 ran and each failure was a failover; the loop counted
+	// retry 3 before its budget check refused it.
+	if st := r.Stats(); st.Retries != 3 || st.Failovers != 3 || st.Failed != 1 {
+		t.Fatalf("ledger = %d retries / %d failovers / %d failed, want 3 / 3 / 1",
+			st.Retries, st.Failovers, st.Failed)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"spaceodyssey/internal/flight"
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
 	"spaceodyssey/internal/octree"
@@ -179,19 +180,18 @@ type Odyssey struct {
 	// step instead of queueing repeated exclusive merges of the same
 	// candidates. It also discharges PrepareMerge's single-flight
 	// precondition structurally rather than by scheduler convention.
-	mergeFlight flightGroup[ComboKey]
+	mergeFlight flight.Group[ComboKey, struct{}]
 
 	// maint is the background maintenance scheduler; nil unless
 	// Config.AsyncMaintenance is set. See maintenance.go.
 	maint *maintainer
 
 	// scans is the in-flight scan-sharing registry; nil unless
-	// Config.ShareScans is set. buildMu/building single-flight the level-0
+	// Config.ShareScans is set. builds single-flights the level-0
 	// first-touch builds (one builder per dataset, waiters block on the
-	// channel instead of herding on the tree lock). See scanshare.go.
-	scans    *scanRegistry
-	buildMu  sync.Mutex
-	building map[object.DatasetID]chan struct{}
+	// build instead of herding on the tree lock). See scanshare.go.
+	scans  *scanRegistry
+	builds flight.Group[object.DatasetID, time.Duration]
 
 	// rcache is the epoch-scoped result cache; nil unless
 	// Config.CacheResults is set. See resultcache.go.
@@ -282,8 +282,7 @@ func New(dev simdisk.Storage, raws []*rawfile.Raw, bounds geom.Box, cfg Config) 
 		return rawfile.GroupName(o.hottestMember(members))
 	}
 	if cfg.ShareScans {
-		o.scans = newScanRegistry()
-		o.building = make(map[object.DatasetID]chan struct{})
+		o.scans = new(scanRegistry)
 		dev.SetShareReads(true)
 	}
 	if cfg.CacheResults {
@@ -860,8 +859,8 @@ func (o *Odyssey) QueryCtx(ctx context.Context, q geom.Box, datasets []object.Da
 		if mctx != nil {
 			mctx = context.WithoutCancel(mctx)
 		}
-		if _, err := o.mergeFlight.Do(key, func() error {
-			return o.runMergeStep(mctx, key, ordered)
+		if _, _, err := o.mergeFlight.Do(mctx, key, func() (struct{}, error) {
+			return struct{}{}, o.runMergeStep(mctx, key, ordered)
 		}); err != nil {
 			return nil, err
 		}
@@ -1038,8 +1037,8 @@ func (o *Odyssey) regionCovered(ds object.DatasetID, t refineTask) bool {
 // precondition), and runs under a maintenance-priority scope: a storage
 // budget throttles the copy I/O while foreground queries are in flight.
 func (o *Odyssey) runMergeAsync(key ComboKey, ordered []object.DatasetID) error {
-	_, err := o.mergeFlight.Do(key, func() error {
-		return o.mergeAsyncStep(key, ordered)
+	_, _, err := o.mergeFlight.Do(nil, key, func() (struct{}, error) {
+		return struct{}{}, o.mergeAsyncStep(key, ordered)
 	})
 	return err
 }

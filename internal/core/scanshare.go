@@ -6,6 +6,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"spaceodyssey/internal/flight"
 	"spaceodyssey/internal/object"
 	"spaceodyssey/internal/octree"
 	"spaceodyssey/internal/simdisk"
@@ -29,124 +30,63 @@ type SharingStats struct {
 	Invalidations int64
 }
 
-// scanKey identifies one in-flight partition scan.
+// scanKey identifies one partition scan: a (dataset, cell) at one layout
+// epoch of its tree.
 type scanKey struct {
-	ds   object.DatasetID
-	cell octree.Key
-}
-
-// scanEntry is one registered in-flight partition scan. The leader fills
-// objs/err before closing done; attached readers treat objs as read-only
-// (the engine only ever filters from it — objects are values).
-type scanEntry struct {
+	ds    object.DatasetID
+	cell  octree.Key
 	epoch int64
-	done  chan struct{}
-	objs  []object.Object
-	err   error
 }
 
 // scanRegistry is the engine layer of scan sharing: the first query to read
-// a (dataset, cell) within a layout epoch registers the scan; queries
-// arriving while it is in flight attach to it instead of re-walking the
-// partition, provided the tree's epoch still matches. Entries live only for
+// a (dataset, cell) within a layout epoch leads the scan; queries arriving
+// while it is in flight attach to it instead of re-walking the partition.
+// Attached readers treat the shared objects as read-only (the engine only
+// ever filters from them — objects are values). Registrations live only for
 // the duration of the read — this is single-flight, not a cache — and the
 // registry is flushed on every layout publish, so a scan result can never
 // be handed across a refinement or merge (the race-mode oracle contract).
 //
 // Safety: readers hold the engine's shared layout lock and the dataset's
 // shared tree lock for the whole read, and every layout mutation takes one
-// of those exclusively, so an in-flight entry's bytes cannot change under
-// its waiters; the epoch check and publish-time flush are the cross-check
-// that keeps attachment conservative.
+// of those exclusively, so an in-flight scan's bytes cannot change under
+// its waiters; the epoch in the key and the publish-time flush are the
+// cross-check that keeps attachment conservative.
 type scanRegistry struct {
-	mu       sync.Mutex
-	inflight map[scanKey]*scanEntry
+	flights flight.Group[scanKey, []object.Object]
 
 	attached      atomic.Int64
 	sharedBuilds  atomic.Int64
 	invalidations atomic.Int64
 }
 
-func newScanRegistry() *scanRegistry {
-	return &scanRegistry{inflight: make(map[scanKey]*scanEntry)}
-}
-
-// Invalidate flushes every in-flight entry. Leaders still complete and
-// deliver to already-attached waiters (their reads happened under shared
-// locks that excluded the publisher), but no new reader attaches to a
-// pre-publish scan.
+// Invalidate flushes every in-flight registration. Leaders still complete
+// and deliver to already-attached waiters (their reads happened under
+// shared locks that excluded the publisher), but no new reader attaches to
+// a pre-publish scan. Only flushes that dropped real in-flight work count:
+// the Invalidations ledger measures flushes, not publish frequency.
 func (r *scanRegistry) Invalidate() {
-	r.mu.Lock()
-	flushed := len(r.inflight) > 0
-	if flushed {
-		r.inflight = make(map[scanKey]*scanEntry)
-	}
-	r.mu.Unlock()
-	// Count only flushes that dropped real in-flight work: a publish over
-	// an empty registry is a no-op, and counting it would make the
-	// Invalidations ledger track publish frequency instead of flushes.
-	if flushed {
+	if r.flights.Forget() {
 		r.invalidations.Add(1)
 	}
 }
 
-// readThrough is the single-flight read: attach to a matching in-flight
-// scan, or lead one and fan its result out. read performs the actual
-// partition I/O. epoch is the owning tree's current layout epoch.
-//
-// When a leader's read fails (cancellation, an injected fault), its waiters
-// do not each fall back to an independent read — that would be a thundering
-// herd of N redundant scans, the exact failure mode this registry exists to
-// prevent. Instead every waiter re-enters the single-flight path: a failed
-// leader deregisters its entry before publishing, so the first waiter back
-// through the registry lock becomes the one new leader and the rest attach
-// to it. failed remembers the entry whose error we just observed: if it is
-// somehow still registered (it cannot re-succeed), it is displaced rather
-// than re-attached, guaranteeing progress.
-func (r *scanRegistry) readThrough(ctx context.Context, key scanKey, epoch int64,
+// readThrough is the single-flight read: attach to the in-flight scan of
+// key, or lead one and fan its result out. read performs the actual
+// partition I/O. A failed leader's waiters re-enter the registry, so
+// exactly one of them retries the read and the rest attach to it.
+func (r *scanRegistry) readThrough(ctx context.Context, key scanKey,
 	read func(context.Context) ([]object.Object, error)) ([]object.Object, error) {
-	var failed *scanEntry
-	for {
-		r.mu.Lock()
-		if e, ok := r.inflight[key]; ok && e.epoch == epoch && e != failed {
-			r.mu.Unlock()
-			if err := simdisk.WaitDone(ctx, e.done); err != nil {
-				return nil, err
-			}
-			if e.err != nil {
-				// The leader failed; its outcome is not ours. Re-enter the
-				// single-flight path: exactly one waiter retries the read.
-				failed = e
-				continue
-			}
-			r.attached.Add(1)
-			return e.objs, nil
-		} else if ok && e.epoch != epoch {
-			// An entry from another epoch is still in flight (defensive:
-			// the lock discipline should make this unobservable). Do not
-			// attach and do not displace it — just read directly.
-			r.mu.Unlock()
-			return read(ctx)
+	objs, shared, err := r.flights.Do(ctx, key, func() ([]object.Object, error) {
+		return read(ctx)
+	})
+	if shared {
+		if err != nil {
+			return nil, simdisk.Canceled(err)
 		}
-		// No attachable entry (or only the failed one we just waited out,
-		// which is displaced): lead the read ourselves.
-		e := &scanEntry{epoch: epoch, done: make(chan struct{})}
-		r.inflight[key] = e
-		r.mu.Unlock()
-
-		e.objs, e.err = read(ctx)
-
-		// Deregister before publishing: a waiter that observes the error
-		// must find the entry gone (or replaced) when it loops back, so the
-		// retry single-flights instead of re-attaching to a dead scan.
-		r.mu.Lock()
-		if r.inflight[key] == e {
-			delete(r.inflight, key)
-		}
-		r.mu.Unlock()
-		close(e.done)
-		return e.objs, e.err
+		r.attached.Add(1)
 	}
+	return objs, err
 }
 
 // Stats snapshots the registry counters.
@@ -189,7 +129,7 @@ func (o *Odyssey) shareReaderFor(ds object.DatasetID, tree *octree.Tree) func(co
 		var objs []object.Object
 		var err error
 		if o.scans != nil {
-			objs, err = o.scans.readThrough(ctx, scanKey{ds: ds, cell: p.Key()}, tree.Epoch(), read)
+			objs, err = o.scans.readThrough(ctx, scanKey{ds: ds, cell: p.Key(), epoch: tree.Epoch()}, read)
 		} else {
 			objs, err = read(ctx)
 		}
@@ -216,46 +156,40 @@ func (o *Odyssey) bumpLayoutEpoch() {
 
 // ensureBuiltShared single-flights a dataset's level-0 first-touch build:
 // one query builds under the exclusive tree lock while every concurrent
-// query of the dataset waits on the build's completion channel instead of
-// queueing on the lock — and then proceeds down its ordinary (shared-lock)
-// read path. Returns the simulated build time this caller charged (zero for
-// waiters). Only called with ShareScans on.
+// query of the dataset waits on the build instead of queueing on the lock —
+// and then proceeds down its ordinary (shared-lock) read path. Returns the
+// simulated build time this caller charged (zero for waiters). Only called
+// with ShareScans on.
 func (o *Odyssey) ensureBuiltShared(ctx context.Context, ds object.DatasetID,
 	tree *octree.Tree, lk *sync.RWMutex) (time.Duration, error) {
-	for {
-		lk.RLock()
-		built := tree.Built()
-		lk.RUnlock()
-		if built {
+	lk.RLock()
+	built := tree.Built()
+	lk.RUnlock()
+	if built {
+		return 0, nil
+	}
+	dt, shared, err := o.builds.Do(ctx, ds, func() (time.Duration, error) {
+		lk.Lock()
+		defer lk.Unlock()
+		// A build that finished between the check above and this leader's
+		// registration has nothing left to do.
+		if tree.Built() {
 			return 0, nil
 		}
-		o.buildMu.Lock()
-		if ch, ok := o.building[ds]; ok {
-			o.buildMu.Unlock()
-			o.scans.sharedBuilds.Add(1)
-			if err := simdisk.WaitDone(ctx, ch); err != nil {
-				return 0, err
-			}
-			continue // the build may have failed; re-check and maybe lead
-		}
-		ch := make(chan struct{})
-		o.building[ds] = ch
-		o.buildMu.Unlock()
-
-		lk.Lock()
 		clock := simdisk.PhaseClock(ctx, o.dev)
 		t0 := clock()
-		err := tree.EnsureBuiltCtx(ctx)
-		dt := clock() - t0
-		if err == nil {
-			o.bumpLayoutEpoch()
+		if err := tree.EnsureBuiltCtx(ctx); err != nil {
+			return clock() - t0, err
 		}
-		lk.Unlock()
-
-		o.buildMu.Lock()
-		delete(o.building, ds)
-		o.buildMu.Unlock()
-		close(ch)
-		return dt, err
+		o.bumpLayoutEpoch()
+		return clock() - t0, nil
+	})
+	if shared {
+		o.scans.sharedBuilds.Add(1)
+		if err != nil {
+			return 0, simdisk.Canceled(err)
+		}
+		return 0, nil
 	}
+	return dt, err
 }

@@ -2,15 +2,19 @@ package core
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 
+	"spaceodyssey/internal/datagen"
 	"spaceodyssey/internal/engine"
 	"spaceodyssey/internal/geom"
 	"spaceodyssey/internal/object"
 	"spaceodyssey/internal/octree"
+	"spaceodyssey/internal/rawfile"
+	"spaceodyssey/internal/simdisk"
 )
 
 // shareConfig returns the default configuration with scan sharing on.
@@ -115,25 +119,41 @@ func TestShareScansSingleFlightBuild(t *testing.T) {
 	}
 }
 
-// TestScanRegistryAttachAndInvalidate drives the registry white-box with a
-// hand-registered in-flight entry, so every interleaving is deterministic:
-// a same-epoch reader attaches, a cross-epoch reader reads independently,
-// and Invalidate flushes the entry so nobody attaches afterwards.
-func TestScanRegistryAttachAndInvalidate(t *testing.T) {
-	r := newScanRegistry()
-	key := scanKey{ds: 1, cell: testKeyAt(1, 2, 3, 1)}
-	want := []object.Object{{ID: 7, Dataset: 1}}
+// leadScan starts a registry leader for key on its own goroutine and
+// returns once its read is in flight. The read blocks until release closes,
+// then returns (objs, err); done closes once readThrough has returned to it.
+func leadScan(r *scanRegistry, key scanKey, objs []object.Object, err error) (release, done chan struct{}) {
+	started := make(chan struct{})
+	release, done = make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		r.readThrough(nil, key, func(context.Context) ([]object.Object, error) {
+			close(started)
+			<-release
+			return objs, err
+		})
+	}()
+	<-started
+	return release, done
+}
 
-	// Register an entry as a leader mid-flight would.
-	e := &scanEntry{epoch: 5, done: make(chan struct{})}
-	r.mu.Lock()
-	r.inflight[key] = e
-	r.mu.Unlock()
+// TestScanRegistryAttachAndInvalidate drives the registry white-box with a
+// gated in-flight leader, so every interleaving is deterministic: a
+// cross-epoch reader reads independently, a same-epoch reader attaches,
+// Invalidate flushes the registration so nobody attaches afterwards, and a
+// failed leader's outcome is not inherited.
+func TestScanRegistryAttachAndInvalidate(t *testing.T) {
+	r := new(scanRegistry)
+	key := scanKey{ds: 1, cell: testKeyAt(1, 2, 3, 1), epoch: 5}
+	want := []object.Object{{ID: 7, Dataset: 1}}
+	release, done := leadScan(r, key, want, nil)
 
 	// A cross-epoch reader must not attach — it reads independently even
-	// with the entry present.
+	// with the leader in flight.
 	ownRead := false
-	if _, err := r.readThrough(nil, key, 6, func(context.Context) ([]object.Object, error) {
+	other := key
+	other.epoch = 6
+	if _, err := r.readThrough(nil, other, func(context.Context) ([]object.Object, error) {
 		ownRead = true
 		return nil, nil
 	}); err != nil {
@@ -143,29 +163,26 @@ func TestScanRegistryAttachAndInvalidate(t *testing.T) {
 		t.Fatal("cross-epoch reader did not perform its own read")
 	}
 
-	// Complete the leader's scan (fill, then close — the publish order the
-	// real leader uses) and attach a same-epoch reader.
-	e.objs = want
-	close(e.done)
-	got, err := r.readThrough(nil, key, 5, func(context.Context) ([]object.Object, error) {
-		t.Error("attacher executed its own read despite a matching in-flight scan")
-		return nil, nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	// A same-epoch reader attaches and gets the leader's objects.
+	type out struct {
+		objs []object.Object
+		err  error
 	}
-	if len(got) != 1 || got[0].ID != want[0].ID {
-		t.Fatalf("attached read returned %v, want the leader's objects", got)
-	}
-	if st := r.Stats(); st.AttachedScans != 1 {
-		t.Fatalf("AttachedScans = %d, want 1", st.AttachedScans)
-	}
+	attached := make(chan out, 1)
+	go func() {
+		objs, err := r.readThrough(nil, key, func(context.Context) ([]object.Object, error) {
+			t.Error("attacher executed its own read despite a matching in-flight scan")
+			return nil, nil
+		})
+		attached <- out{objs, err}
+	}()
+	time.Sleep(50 * time.Millisecond)
 
 	// Invalidate flushes the registry: the next same-epoch reader performs
-	// its own read even though the old entry matched its epoch.
+	// its own read even though the leader is still in flight.
 	r.Invalidate()
 	own2 := false
-	if _, err := r.readThrough(nil, key, 5, func(context.Context) ([]object.Object, error) {
+	if _, err := r.readThrough(nil, key, func(context.Context) ([]object.Object, error) {
 		own2 = true
 		return nil, nil
 	}); err != nil {
@@ -174,26 +191,44 @@ func TestScanRegistryAttachAndInvalidate(t *testing.T) {
 	if !own2 {
 		t.Fatal("reader attached to an invalidated in-flight scan")
 	}
+	r.Invalidate() // registry empty: not a flush
 	if st := r.Stats(); st.Invalidations != 1 {
 		t.Fatalf("Invalidations = %d, want 1", st.Invalidations)
 	}
 
-	// A failed leader's outcome is not inherited: attachers fall back to
-	// their own read.
-	e2 := &scanEntry{epoch: 9, done: make(chan struct{})}
-	e2.err = context.DeadlineExceeded
-	close(e2.done)
-	r.mu.Lock()
-	r.inflight[key] = e2
-	r.mu.Unlock()
-	fellBack := false
-	if _, err := r.readThrough(nil, key, 9, func(context.Context) ([]object.Object, error) {
-		fellBack = true
-		return nil, nil
-	}); err != nil {
-		t.Fatal(err)
+	// The invalidated leader still delivers to its attached reader.
+	close(release)
+	<-done
+	got := <-attached
+	if got.err != nil {
+		t.Fatal(got.err)
 	}
-	if !fellBack {
+	if len(got.objs) != 1 || got.objs[0].ID != want[0].ID {
+		t.Fatalf("attached read returned %v, want the leader's objects", got.objs)
+	}
+	if st := r.Stats(); st.AttachedScans != 1 {
+		t.Fatalf("AttachedScans = %d, want 1", st.AttachedScans)
+	}
+
+	// A failed leader's outcome is not inherited: its waiter reads again.
+	key.epoch = 9
+	release, done = leadScan(r, key, nil, context.DeadlineExceeded)
+	fellBack := make(chan bool, 1)
+	go func() {
+		ran := false
+		_, err := r.readThrough(nil, key, func(context.Context) ([]object.Object, error) {
+			ran = true
+			return nil, nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		fellBack <- ran
+	}()
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	<-done
+	if !<-fellBack {
 		t.Fatal("attacher inherited the failed leader's outcome")
 	}
 }
@@ -202,18 +237,14 @@ func TestScanRegistryAttachAndInvalidate(t *testing.T) {
 // when a leader's read fails, its waiters must re-enter the single-flight
 // path so exactly one of them is charged the retry read — not one
 // independent read per waiter, the thundering herd the registry exists to
-// prevent. A doomed leader is registered by hand, a herd parks on it, and
-// it is failed the way a real leader fails (deregister, then publish); the
-// retry leader's read is gated so the rest of the herd attaches to it.
+// prevent. A doomed leader is held in flight, a herd parks on it, and it
+// is failed; the retry leader's read is gated so the rest of the herd
+// attaches to it.
 func TestScanRegistryFailedLeaderSingleRetry(t *testing.T) {
-	r := newScanRegistry()
-	key := scanKey{ds: 2, cell: testKeyAt(1, 1, 1, 0)}
+	r := new(scanRegistry)
+	key := scanKey{ds: 2, cell: testKeyAt(1, 1, 1, 0), epoch: 3}
 	want := []object.Object{{ID: 42, Dataset: 2}}
-
-	doomed := &scanEntry{epoch: 3, done: make(chan struct{})}
-	r.mu.Lock()
-	r.inflight[key] = doomed
-	r.mu.Unlock()
+	release, doomed := leadScan(r, key, nil, context.DeadlineExceeded)
 
 	var reads atomic.Int64
 	gate := make(chan struct{})
@@ -231,20 +262,17 @@ func TestScanRegistryFailedLeaderSingleRetry(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			results[g], errs[g] = r.readThrough(nil, key, 3, read)
+			results[g], errs[g] = r.readThrough(nil, key, read)
 		}()
 	}
 
-	// Fail the leader in the order a real one publishes: deregister under
-	// the lock, then close done. Every parked waiter wakes and loops back;
-	// mutex serialization makes exactly one the retry leader. (A goroutine
-	// that never parked on the doomed entry attaches to the retry leader's
-	// registration instead — same coalescing, same count.)
-	doomed.err = context.DeadlineExceeded
-	r.mu.Lock()
-	delete(r.inflight, key)
-	r.mu.Unlock()
-	close(doomed.done)
+	// Fail the leader. Every parked waiter wakes and re-enters; exactly one
+	// becomes the retry leader. (A goroutine that never parked on the doomed
+	// leader attaches to the retry leader's registration instead — same
+	// coalescing, same count.)
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	<-doomed
 
 	// Hold the retry leader's read open until the rest of the herd has had
 	// time to loop back and attach, then release it.
@@ -342,5 +370,101 @@ func TestMaintenancePriorityHottestFirst(t *testing.T) {
 	task, ok = m.pickLocked()
 	if !ok || !task.isMerge || task.merge.key != a {
 		t.Fatalf("cold merge not popped second: %+v ok=%v", task, ok)
+	}
+}
+
+// expiringClock is a simdisk.Clocker the test expires by hand, so a
+// WithClockLimit context ends at a moment the test picks rather than at a
+// clock value it would have to predict.
+type expiringClock struct{ expired atomic.Bool }
+
+func (c *expiringClock) Clock() time.Duration {
+	if c.expired.Load() {
+		return 1
+	}
+	return 0
+}
+
+// TestSharedBuildLeaderCancelRetriesOnce covers the level-0 build's failure
+// path: the leading query's clock-limited context expires mid-build while
+// other queries of the cold dataset wait. Every waiter must still succeed,
+// with exactly one rebuild (one new leader, every other waiter attached to
+// it) and the tree built once.
+func TestSharedBuildLeaderCancelRetriesOnce(t *testing.T) {
+	dev := simdisk.NewDevice(simdisk.DefaultCostModel(), 0)
+	objs := datagen.Generate(datagen.Config{Seed: 31, NumObjects: 20000, Clusters: 6}, 0)
+	raw, err := rawfile.Write(dev, "ds", 0, objs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The scan must span more than one 128-page chunk: the leader fails at
+	// the first page of its second chunk.
+	if raw.NumPages() <= 128 {
+		t.Fatalf("raw file has %d pages, want more than one scan chunk", raw.NumPages())
+	}
+	eng, err := New(dev, []*rawfile.Raw{raw}, geom.UnitBox(), shareConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	oracle := engine.NewNaiveScan([]*rawfile.Raw{raw})
+	q := geom.Cube(geom.V(0.5, 0.5, 0.5), 0.05)
+	dss := []object.DatasetID{0}
+	want, err := oracle.Query(q, dss)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dev.ResetStats() // the oracle's scan read pages too
+
+	// Stretch the first chunk's read into a wall-clock window the waiters
+	// arrive in.
+	cost := simdisk.DefaultCostModel()
+	dev.SetRealTimeScale(float64(200*time.Millisecond) / float64(cost.Seek+128*cost.Transfer))
+	clock := new(expiringClock)
+	leaderErr := make(chan error, 1)
+	go func() {
+		_, err := eng.QueryCtx(simdisk.WithClockLimit(context.Background(), clock, 1), q, dss)
+		leaderErr <- err
+	}()
+	deadline := time.Now().Add(5 * time.Second)
+	for dev.Stats().PageReads < 128 {
+		if time.Now().After(deadline) {
+			t.Fatal("leader never started its level-0 scan")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+
+	const waiters = 6
+	var wg sync.WaitGroup
+	for g := 0; g < waiters; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got, err := eng.Query(q, dss)
+			if err != nil {
+				t.Errorf("waiter failed after the leader's context expired: %v", err)
+				return
+			}
+			if !engine.SameObjects(got, want) {
+				t.Error("waiter's result diverged from the oracle")
+			}
+		}()
+	}
+	// Expire the leader's context while it is still in its first chunk,
+	// and shorten the emulation for the rebuild (it still takes long enough
+	// for every released waiter to attach).
+	time.Sleep(50 * time.Millisecond)
+	clock.expired.Store(true)
+	dev.SetRealTimeScale(float64(20*time.Millisecond) / float64(cost.Seek+128*cost.Transfer))
+	if err := <-leaderErr; !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("leader error = %v, want its clock limit's DeadlineExceeded", err)
+	}
+	wg.Wait()
+
+	if m := eng.Metrics(); m.TreesBuilt != 1 {
+		t.Fatalf("TreesBuilt = %d, want 1", m.TreesBuilt)
+	}
+	if st := eng.SharingStats(); st.SharedBuilds != waiters-1 {
+		t.Fatalf("SharedBuilds = %d, want %d (one rebuild, every other waiter attached)",
+			st.SharedBuilds, waiters-1)
 	}
 }

@@ -8,6 +8,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"spaceodyssey/internal/flight"
 )
 
 // FileID identifies a page file on a Device.
@@ -191,12 +193,11 @@ type Device struct {
 	retriedOps      atomic.Int64
 	retryExhausted  atomic.Int64
 
-	// Single-flight run coalescing (SetShareReads): sfInflight registers the
-	// in-flight run reads of each file so overlapping readers can attach.
-	// Off by default; the flag keeps the uncoalesced path lock-free.
+	// Single-flight run coalescing (SetShareReads): runs registers the
+	// in-flight run reads so readers of the same range can attach. Off by
+	// default; the flag keeps the uncoalesced path lock-free.
 	shareReads     atomic.Bool
-	sfMu           sync.Mutex
-	sfInflight     map[FileID][]*inflightRun
+	runs           flight.Group[runKey, []byte]
 	coalescedReads atomic.Int64
 	coalescedPages atomic.Int64
 
@@ -247,7 +248,6 @@ func NewDeviceChannels(cost CostModel, cacheCapacity, channels int) *Device {
 		channels:   make([]channel, channels),
 		cache:      newShardedCache(cacheCapacity),
 		readFaults: make(map[pageKey]error),
-		sfInflight: make(map[FileID][]*inflightRun),
 	}
 }
 

@@ -214,6 +214,26 @@ func TestRetryBudget(t *testing.T) {
 	}
 }
 
+// TestRetryPolicyWaitSchedule pins the one backoff schedule the device and
+// the cluster router share: retry k is allowed while Backoff·(2^k−1) stays
+// within Budget, a zero Budget never refuses, and a huge k saturates
+// instead of overflowing.
+func TestRetryPolicyWaitSchedule(t *testing.T) {
+	p := RetryPolicy{Backoff: time.Nanosecond, Budget: 6 * time.Nanosecond}
+	for k, want := range map[int]bool{1: true, 2: true, 3: false, 100: false} {
+		if ok, err := p.Wait(nil, k); ok != want || err != nil {
+			t.Errorf("Wait(retry %d) = %v, %v; want %v, nil", k, ok, err, want)
+		}
+	}
+	p.Budget = 0
+	if ok, err := p.Wait(nil, 4); !ok || err != nil {
+		t.Errorf("Wait without a budget = %v, %v; want true, nil", ok, err)
+	}
+	if ok, err := (RetryPolicy{Backoff: 0, Budget: 1}).Wait(nil, 100); !ok || err != nil {
+		t.Errorf("Wait with zero backoff = %v, %v; want true, nil", ok, err)
+	}
+}
+
 // TestRetryCancelDuringBackoff pins that a context canceled mid-backoff
 // aborts the wait with an error matching both the cancellation and the
 // fault taxonomy.

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"time"
 )
 
@@ -53,13 +54,50 @@ func (a *DeviceArray) SetRetryPolicy(p RetryPolicy) {
 // RetryPolicy returns the members' common retry policy.
 func (a *DeviceArray) RetryPolicy() RetryPolicy { return a.members[0].RetryPolicy() }
 
+// Wait sleeps out the backoff before retry k (k >= 1) on the policy's
+// schedule: Backoff·2^(k-1), so retries 1..k sleep Backoff·(2^k−1) in all.
+// It returns ok=false without sleeping once that total would exceed a
+// non-zero Budget. A ctx (nil allowed) that ends during the sleep aborts it
+// with Canceled(ctx.Err()). The router's replica failover and the device's
+// page-read retries both back off on this one schedule.
+func (p RetryPolicy) Wait(ctx context.Context, k int) (ok bool, err error) {
+	if p.Backoff <= 0 {
+		return true, nil
+	}
+	if p.Budget > 0 && shl(p.Backoff, k)-p.Backoff > p.Budget {
+		return false, nil
+	}
+	dt := shl(p.Backoff, k-1)
+	if ctx == nil {
+		time.Sleep(dt)
+		return true, nil
+	}
+	timer := time.NewTimer(dt)
+	defer timer.Stop()
+	select {
+	case <-timer.C:
+		return true, nil
+	case <-ctx.Done():
+		return true, Canceled(ctx.Err())
+	}
+}
+
+// shl returns d·2^k, saturating at the largest Duration.
+func shl(d time.Duration, k int) time.Duration {
+	if k >= 63 || d > math.MaxInt64>>k {
+		return math.MaxInt64
+	}
+	return d << k
+}
+
 // readPageRetry is readPage wrapped in the retry policy: transient faults
 // are retried with exponential wall-clock backoff until they clear, attempts
 // run out, or the backoff budget is exhausted. Every retry attempt is
 // counted in Stats.RetriedOps; a read that still fails after its last
 // attempt (or that the budget cuts off) counts once in Stats.RetryExhausted.
-// Backoff sleeps abort on ctx cancellation, returning an error that matches
-// both ErrCanceled and the fault being retried.
+// Backoff sleeps abort on ctx cancellation (counted as a canceled op, like
+// any device-side abort), returning an error that matches both ErrCanceled
+// and the fault being retried.
 func (d *Device) readPageRetry(ctx context.Context, id FileID, idx int64, buf []byte) (time.Duration, error) {
 	dt, err := d.readPage(ctx, id, idx, buf)
 	if err == nil || !errors.Is(err, ErrTransient) {
@@ -69,19 +107,15 @@ func (d *Device) readPageRetry(ctx context.Context, id FileID, idx int64, buf []
 	if !p.enabled() {
 		return 0, err
 	}
-	backoff := p.Backoff
-	var slept time.Duration
 	for attempt := 2; attempt <= p.MaxAttempts; attempt++ {
-		if backoff > 0 {
-			if p.Budget > 0 && slept+backoff > p.Budget {
-				d.retryExhausted.Add(1)
-				return 0, fmt.Errorf("simdisk: retry budget %v exhausted after %d attempts: %w", p.Budget, attempt-1, err)
-			}
-			if serr := d.sleepBackoff(ctx, backoff); serr != nil {
-				return 0, fmt.Errorf("%w (while backing off from %w)", serr, err)
-			}
-			slept += backoff
-			backoff *= 2
+		ok, serr := p.Wait(ctx, attempt-1)
+		if !ok {
+			d.retryExhausted.Add(1)
+			return 0, fmt.Errorf("simdisk: retry budget %v exhausted after %d attempts: %w", p.Budget, attempt-1, err)
+		}
+		if serr != nil {
+			d.canceledOps.Add(1)
+			return 0, fmt.Errorf("%w (while backing off from %w)", serr, err)
 		}
 		d.retriedOps.Add(1)
 		dt, err = d.readPage(ctx, id, idx, buf)
@@ -91,22 +125,4 @@ func (d *Device) readPageRetry(ctx context.Context, id FileID, idx int64, buf []
 	}
 	d.retryExhausted.Add(1)
 	return 0, fmt.Errorf("simdisk: %d read attempts failed: %w", p.MaxAttempts, err)
-}
-
-// sleepBackoff waits a retry backoff in wall-clock time, aborting early when
-// ctx is canceled (counted as a canceled op, like any device-side abort).
-func (d *Device) sleepBackoff(ctx context.Context, dt time.Duration) error {
-	if ctx == nil {
-		time.Sleep(dt)
-		return nil
-	}
-	timer := time.NewTimer(dt)
-	defer timer.Stop()
-	select {
-	case <-timer.C:
-		return nil
-	case <-ctx.Done():
-		d.canceledOps.Add(1)
-		return Canceled(ctx.Err())
-	}
 }

@@ -31,11 +31,18 @@ func sfTestDevice(t *testing.T, n int, cache int) (*Device, FileID) {
 	return d, id
 }
 
-// inflightRuns reports how many run reads are currently registered on id.
-func (d *Device) inflightRuns(id FileID) int {
-	d.sfMu.Lock()
-	defer d.sfMu.Unlock()
-	return len(d.sfInflight[id])
+// awaitInFlight blocks until a cold (uncached) read of at least pages pages
+// has charged all of them — so, under real-time emulation, its leader is
+// registered and asleep in its aggregated emulation wait.
+func awaitInFlight(t *testing.T, d *Device, pages int64) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for d.Stats().PageReads < pages {
+		if time.Now().After(deadline) {
+			t.Fatal("leader never got its read in flight")
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
 }
 
 // TestSingleFlightChargesOneRead is the charge-regression contract: two
@@ -43,7 +50,7 @@ func (d *Device) inflightRuns(id FileID) int {
 // page counters exactly one read's worth — the attached read is free.
 // Determinism: the leader's real-time emulation sleep keeps its registration
 // in flight while the waiter attaches (the waiter only starts after the
-// registration is observed).
+// leader's pages are charged).
 func TestSingleFlightChargesOneRead(t *testing.T) {
 	const pages = 64
 	d, id := sfTestDevice(t, pages, 0)
@@ -61,30 +68,23 @@ func TestSingleFlightChargesOneRead(t *testing.T) {
 		defer wg.Done()
 		leaderBuf, leaderErr = d.ReadRun(id, 0, pages)
 	}()
-	// Wait until the leader's run is registered before starting the waiter.
-	deadline := time.Now().Add(5 * time.Second)
-	for d.inflightRuns(id) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("leader never registered its in-flight run")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	awaitInFlight(t, d, pages)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		waiterBuf, waiterErr = d.ReadRun(id, 8, 16) // contained sub-range
+		waiterBuf, waiterErr = d.ReadRun(id, 0, pages) // the same range
 	}()
 	wg.Wait()
 	if leaderErr != nil || waiterErr != nil {
 		t.Fatalf("reads failed: leader %v waiter %v", leaderErr, waiterErr)
 	}
-	if !bytes.Equal(waiterBuf, leaderBuf[8*PageSize:24*PageSize]) {
-		t.Fatal("attached read returned different bytes than the leader's range")
+	if !bytes.Equal(waiterBuf, leaderBuf) {
+		t.Fatal("attached read returned different bytes than the leader's")
 	}
 
 	st := d.Stats()
-	if st.CoalescedReads != 1 || st.CoalescedPages != 16 {
-		t.Fatalf("coalescing counters = %d reads / %d pages, want 1 / 16", st.CoalescedReads, st.CoalescedPages)
+	if st.CoalescedReads != 1 || st.CoalescedPages != pages {
+		t.Fatalf("coalescing counters = %d reads / %d pages, want 1 / %d", st.CoalescedReads, st.CoalescedPages, pages)
 	}
 	if st.PageReads != pages {
 		t.Fatalf("PageReads = %d, want exactly one run's %d", st.PageReads, pages)
@@ -97,9 +97,10 @@ func TestSingleFlightChargesOneRead(t *testing.T) {
 	}
 }
 
-// TestSingleFlightDisjointRangesDoNotCoalesce pins that only genuinely
-// overlapping (contained) ranges attach: serial reads of disjoint runs each
-// pay their own I/O even with sharing on.
+// TestSingleFlightDisjointRangesDoNotCoalesce pins that only identical
+// ranges attach: serial reads of disjoint runs each pay their own I/O even
+// with sharing on, and so does a contained sub-range read concurrent with
+// an in-flight leader.
 func TestSingleFlightDisjointRangesDoNotCoalesce(t *testing.T) {
 	d, id := sfTestDevice(t, 32, 0)
 	if _, err := d.ReadRun(id, 0, 16); err != nil {
@@ -111,6 +112,32 @@ func TestSingleFlightDisjointRangesDoNotCoalesce(t *testing.T) {
 	st := d.Stats()
 	if st.CoalescedReads != 0 || st.PageReads != 32 {
 		t.Fatalf("serial disjoint reads coalesced: %+v", st)
+	}
+
+	d.ResetStats()
+	want := d.cost.Seek + 32*d.cost.Transfer
+	d.SetRealTimeScale(float64(250*time.Millisecond) / float64(want))
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		if _, err := d.ReadRun(id, 0, 32); err != nil {
+			t.Error(err)
+		}
+	}()
+	awaitInFlight(t, d, 32)
+	buf, err := d.ReadRun(id, 8, 16)
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if buf[0] != 8 || buf[15*PageSize] != 23 {
+		t.Fatal("contained sub-range read returned the wrong pages")
+	}
+	st = d.Stats()
+	if st.CoalescedReads != 0 || st.PageReads != 32+16 {
+		t.Fatalf("contained sub-range attached to the in-flight leader: %d coalesced, %d pages read, want 0 and 48",
+			st.CoalescedReads, st.PageReads)
 	}
 }
 
@@ -154,16 +181,10 @@ func TestSingleFlightWaiterCancellation(t *testing.T) {
 		defer wg.Done()
 		_, leaderErr = d.ReadRun(id, 0, pages)
 	}()
-	deadline := time.Now().Add(5 * time.Second)
-	for d.inflightRuns(id) == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("leader never registered")
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
+	awaitInFlight(t, d, pages)
 	ctx, cancel := context.WithCancel(context.Background())
 	go func() { time.Sleep(5 * time.Millisecond); cancel() }()
-	_, err := d.ReadRunCtx(ctx, id, 0, 8)
+	_, err := d.ReadRunCtx(ctx, id, 0, pages)
 	if err == nil || !errors.Is(err, ErrCanceled) {
 		t.Fatalf("canceled waiter returned %v, want ErrCanceled", err)
 	}
@@ -171,16 +192,15 @@ func TestSingleFlightWaiterCancellation(t *testing.T) {
 	if leaderErr != nil {
 		t.Fatalf("leader failed after waiter cancellation: %v", leaderErr)
 	}
-	if st := d.Stats(); st.CoalescedReads != 0 {
-		t.Fatalf("canceled waiter still counted as coalesced: %+v", st)
+	if st := d.Stats(); st.CoalescedReads != 0 || st.CanceledOps != 1 {
+		t.Fatalf("canceled waiter: %d coalesced, %d canceled ops, want 0 and 1", st.CoalescedReads, st.CanceledOps)
 	}
 }
 
 // TestSingleFlightLeaderFailureFallsBack: when the leader's read fails (an
-// injected fault), a concurrent reader of a sub-range must still succeed —
-// whether it attached to the failing leader (and fell back to its own read)
-// or never overlapped it. The fault lands on a page only the leader's range
-// covers, so the outcome is deterministic for both interleavings.
+// injected fault), a concurrent reader of a sub-range must still succeed on
+// its own read. The fault lands on a page only the leader's range covers,
+// so the outcome is deterministic for every interleaving.
 func TestSingleFlightLeaderFailureFallsBack(t *testing.T) {
 	const pages = 32
 	d, id := sfTestDevice(t, pages, 0)
@@ -210,21 +230,26 @@ func TestSingleFlightLeaderFailureFallsBack(t *testing.T) {
 // TestSingleFlightFailedLeaderSingleRetry is the herd-regression contract
 // at the device layer: when a leader's read fails, its waiters must loop
 // back through the coalescing path so exactly one retry read is charged —
-// not one independent readRunDirect per waiter. A doomed run is registered
-// by hand and a herd parks on it; failing it (deregister, then publish)
-// wakes the herd, mutex serialization picks one retry leader, and the
-// real-time stretched retry read holds its registration open so the rest
-// attach to it.
+// not one independent readRunDirect per waiter. A doomed leader holds the
+// run's registration while a herd parks on it; failing it wakes the herd,
+// one waiter leads the retry, and the real-time stretched retry read holds
+// its registration open so the rest attach to it.
 func TestSingleFlightFailedLeaderSingleRetry(t *testing.T) {
 	const pages = 8
 	d, id := sfTestDevice(t, pages, 0)
 	want := d.cost.Seek + time.Duration(pages)*d.cost.Transfer
 	d.SetRealTimeScale(float64(250*time.Millisecond) / float64(want))
 
-	doomed := &inflightRun{start: 0, n: pages, done: make(chan struct{})}
-	d.sfMu.Lock()
-	d.sfInflight[id] = append(d.sfInflight[id], doomed)
-	d.sfMu.Unlock()
+	started, release, doomed := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(doomed)
+		d.runs.Do(nil, runKey{id: id, start: 0, n: pages}, func() ([]byte, error) {
+			close(started)
+			<-release
+			return nil, errors.New("bang")
+		})
+	}()
+	<-started
 
 	const waiters = 4
 	bufs := make([][]byte, waiters)
@@ -239,14 +264,11 @@ func TestSingleFlightFailedLeaderSingleRetry(t *testing.T) {
 		}()
 	}
 
-	// Fail the doomed leader the way a real one publishes: deregister under
-	// the lock, then close done. (A waiter that never parked on it simply
+	// Fail the doomed leader. (A waiter that never parked on it simply
 	// finds the retry leader's registration instead — same coalescing.)
-	doomed.err = errors.New("bang")
-	d.sfMu.Lock()
-	delete(d.sfInflight, id)
-	d.sfMu.Unlock()
-	close(doomed.done)
+	time.Sleep(50 * time.Millisecond)
+	close(release)
+	<-doomed
 	wg.Wait()
 
 	for g := 0; g < waiters; g++ {
@@ -268,14 +290,12 @@ func TestSingleFlightFailedLeaderSingleRetry(t *testing.T) {
 		t.Fatalf("coalescing counters = %d reads / %d pages, want %d / %d",
 			st.CoalescedReads, st.CoalescedPages, waiters-1, (waiters-1)*pages)
 	}
-	if d.inflightRuns(id) != 0 {
-		t.Fatal("in-flight registry leaked entries")
-	}
 }
 
 // TestSingleFlightConcurrentStorm hammers one file from many goroutines
-// with overlapping and disjoint ranges under the race detector and checks
-// the byte contents of every read.
+// with overlapping and disjoint ranges under the race detector, checks the
+// byte contents of every read, and checks that no registration outlives its
+// read: a serial re-read of every range afterwards coalesces nothing.
 func TestSingleFlightConcurrentStorm(t *testing.T) {
 	const pages = 64
 	d, id := sfTestDevice(t, pages, 128)
@@ -305,7 +325,15 @@ func TestSingleFlightConcurrentStorm(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if d.inflightRuns(id) != 0 {
-		t.Fatal("in-flight registry leaked entries")
+	coalesced := d.Stats().CoalescedReads
+	for start := int64(0); start < pages-8; start++ {
+		for n := int64(1); n <= 8; n++ {
+			if _, err := d.ReadRun(id, start, n); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if got := d.Stats().CoalescedReads; got != coalesced {
+		t.Fatalf("serial re-reads coalesced %d times: in-flight registrations leaked", got-coalesced)
 	}
 }
